@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.local_tpa import LocalTPA
 from repro.experiments.runner import C, EPS
+from repro.experiments.tables import S_VALUES, SWEEP_DATASETS
 from repro.metrics import l1_error
 
 import bench_utils as bu
@@ -31,8 +32,8 @@ def _tpa_with_S(dataset: str, S: int) -> LocalTPA:
     return t
 
 
-@pytest.mark.parametrize("dataset", ["livejournal-lite", "pokec-lite"])
-@pytest.mark.parametrize("S", [1, 2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("dataset", SWEEP_DATASETS)
+@pytest.mark.parametrize("S", S_VALUES)
 def test_effect_of_S(benchmark, dataset, S):
     tpa = _tpa_with_S(dataset, S)
     seeds = [int(s) for s in bu.seeds_for(dataset)]

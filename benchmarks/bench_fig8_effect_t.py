@@ -10,15 +10,15 @@ import pytest
 
 from repro.core.local_tpa import LocalTPA
 from repro.experiments.runner import C, EPS
+from repro.experiments.tables import SWEEP_DATASETS, T_VALUES
 from repro.metrics import l1_error, spearman
 
 import bench_utils as bu
 
 S_FIXED = 4
-T_VALUES = [4, 5, 6, 8, 10, 15, 20, 30, None]  # None = ∞ (no stranger term)
 
 
-@pytest.mark.parametrize("dataset", ["livejournal-lite", "pokec-lite"])
+@pytest.mark.parametrize("dataset", SWEEP_DATASETS)
 @pytest.mark.parametrize("T", T_VALUES)
 def test_effect_of_T(benchmark, dataset, T):
     g, _ = bu.graph_and_spec(dataset)

@@ -2,19 +2,16 @@
 across growing DCSBM graphs (the paper's "only TPA reaches billion scale"
 claim, scaled to this machine; Theorem 3's O(m)-per-iteration is checked
 via the per-edge-per-iteration cost in ``extra_info``).
-"""
-import time
 
-import numpy as np
+Each size runs ``spark_scale_table`` for that one size, so the bench and the
+table share one sweep; ``extra_info`` carries the table's row.
+"""
 import pytest
 
-from repro.core.local_cpi import n_iterations_to_converge
 from repro.core.tpa import SparkTPA
-from repro.graph.edges import vector_to_numpy
+from repro.experiments.spark_scale import DEFAULT_SIZES, spark_scale_table
 from repro.synth_data import dcsbm_edges
 
-SIZES = [(2_000, 16_000), (8_000, 64_000), (16_000, 256_000), (32_000, 1_024_000)]
-EPS = 1e-6  # ~74 iterations at c=0.15 — per-iteration cost is what's measured
 C = 0.15
 
 
@@ -30,28 +27,9 @@ def warm_spark(spark):
     return spark
 
 
-@pytest.mark.parametrize("n,m", SIZES, ids=[f"n{n}_m{m}" for n, m in SIZES])
+@pytest.mark.parametrize("n,m", DEFAULT_SIZES, ids=[f"n{n}_m{m}" for n, m in DEFAULT_SIZES])
 def test_spark_tpa_scale(benchmark, warm_spark, n, m):
-    spark = warm_spark
-    edges = dcsbm_edges(spark, n=n, m=m, seed=100 + n)
-    tpa = SparkTPA(spark, edges, n, c=C, S=4, T=10, eps=EPS)
-
-    benchmark.pedantic(tpa.preprocess, rounds=1, iterations=1)
-
-    rng = np.random.default_rng(0)
-    online = []
-    for s in rng.integers(0, n, size=3):
-        t0 = time.perf_counter()
-        vector_to_numpy(tpa.query(int(s)), n)
-        online.append(time.perf_counter() - t0)
-    iters = n_iterations_to_converge(C, EPS)
-    benchmark.extra_info.update(
-        {
-            "nodes": n,
-            "edges": m,
-            "iterations": iters,
-            "online_mean_s": float(np.mean(online)),
-            "stranger_bytes": tpa.preprocessed_bytes,
-        }
+    df = benchmark.pedantic(
+        spark_scale_table, args=(warm_spark,), kwargs={"sizes": [(n, m)]}, rounds=1, iterations=1
     )
-    tpa.norm_edges.unpersist()
+    benchmark.extra_info.update(df.to_dict("records")[0])

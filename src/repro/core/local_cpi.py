@@ -8,12 +8,16 @@ ground-truth provider (the paper used BePI, also an exact solver).
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+from typing import TypeVar
+
 import numpy as np
 
 from repro.graph.linalg import LocalGraph
 
 __all__ = [
     "cpi",
+    "iterates",
     "exact_rwr",
     "pagerank",
     "seed_vector",
@@ -25,6 +29,8 @@ __all__ = [
 DEFAULT_C = 0.15
 DEFAULT_EPS = 1e-9
 MAX_ITER = 10_000
+
+V = TypeVar("V")  # a score vector of whichever substrate runs the loop
 
 
 def seed_vector(n: int, seeds) -> np.ndarray:
@@ -40,6 +46,40 @@ def uniform_vector(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
+def iterates(
+    x: V,
+    step: Callable[[V], V],
+    norm: Callable[[V], float],
+    *,
+    eps: float,
+    s_iter: int = 0,
+    t_iter: int | None = None,
+    max_iter: int = MAX_ITER,
+) -> Iterator[V]:
+    """Algorithm 1's loop on any substrate: yield each ``x⁽ⁱ⁾`` with ``i`` in
+    the window ``[s_iter, t_iter]``, starting from ``x = x⁽⁰⁾`` and moving on
+    by ``x = step(x)``.
+
+    Iterations stop early once ``norm(x⁽ⁱ⁾) < eps`` (the convergence
+    condition), at ``t_iter`` when given (inclusive, matching the paper's
+    window notation: family = iterations 0..S-1 is ``t_iter=S-1``), or after
+    ``max_iter`` iterations. An empty window (``t_iter < s_iter``) yields
+    nothing and runs no step.
+    """
+    if s_iter < 0:
+        raise ValueError("s_iter must be >= 0")
+    if t_iter is not None and t_iter < s_iter:
+        return
+    for i in range(max_iter):
+        if i >= s_iter:
+            yield x
+        if norm(x) < eps:
+            return
+        if t_iter is not None and i >= t_iter:
+            return
+        x = step(x)
+
+
 def cpi(
     graph: LocalGraph,
     q: np.ndarray,
@@ -50,27 +90,12 @@ def cpi(
     t_iter: int | None = None,
     max_iter: int = MAX_ITER,
 ) -> np.ndarray:
-    """CPI-IMPL (Algorithm 1): return ``Σ_{i=s_iter}^{t_iter} x⁽ⁱ⁾``.
-
-    Iterations stop early once ``‖x⁽ⁱ⁾‖₁ < eps`` (the convergence condition),
-    or at ``t_iter`` when given (inclusive, matching the paper's window
-    notation: family = iterations 0..S-1 is ``t_iter=S-1``).
-    """
-    if s_iter < 0:
-        raise ValueError("s_iter must be >= 0")
-    if t_iter is not None and t_iter < s_iter:
-        return np.zeros(graph.n)
-    x = c * np.asarray(q, dtype=np.float64)
+    """CPI-IMPL (Algorithm 1): return ``Σ_{i=s_iter}^{t_iter} x⁽ⁱ⁾`` with the
+    stop rules of ``iterates``."""
     r = np.zeros(graph.n)
-    for i in range(max_iter):
-        if i >= s_iter:
-            r += x
-        norm = np.abs(x).sum()
-        if norm < eps:
-            break
-        if t_iter is not None and i >= t_iter:
-            break
-        x = (1.0 - c) * graph.push(x)
+    window = _iterates(graph, q, c, eps=eps, s_iter=s_iter, t_iter=t_iter, max_iter=max_iter)
+    for x in window:
+        r += x
     return r
 
 
@@ -78,12 +103,17 @@ def interim_vectors(
     graph: LocalGraph, q: np.ndarray, *, c: float = DEFAULT_C, upto: int = 10
 ) -> list[np.ndarray]:
     """The interim score vectors ``x⁽⁰⁾..x⁽ᵘᵖᵗᵒ⁾`` — test/analysis helper."""
-    x = c * np.asarray(q, dtype=np.float64)
-    out = [x.copy()]
-    for _ in range(upto):
-        x = (1.0 - c) * graph.push(x)
-        out.append(x.copy())
-    return out
+    return list(_iterates(graph, q, c, eps=0.0, t_iter=upto))
+
+
+def _iterates(graph: LocalGraph, q: np.ndarray, c: float, **window) -> Iterator[np.ndarray]:
+    """``iterates`` on numpy: ``x⁽⁰⁾ = c·q``, step ``x ↦ (1-c)·Ãᵀx``, L1 norm."""
+    return iterates(
+        c * np.asarray(q, dtype=np.float64),
+        lambda x: (1.0 - c) * graph.push(x),
+        lambda x: np.abs(x).sum(),
+        **window,
+    )
 
 
 def exact_rwr(

@@ -16,15 +16,26 @@ import numpy as np
 from repro.core.local_cpi import DEFAULT_C, DEFAULT_EPS, cpi, pagerank, seed_vector
 from repro.graph.linalg import LocalGraph
 
-__all__ = ["LocalTPA", "neighbor_scale"]
+__all__ = ["LocalTPA", "check_args", "neighbor_scale"]
 
 
-def neighbor_scale(c: float, S: int, T: int) -> float:
-    """α = ‖r_neighbor‖₁ / ‖r_family‖₁ = ((1-c)^S − (1-c)^T)/(1 − (1-c)^S)."""
+def check_args(c: float, S: int, T: int, n: int = 0, seed: int | None = None) -> None:
+    """TPA's argument check, shared by ``LocalTPA`` and ``SparkTPA``: raise
+    ``ValueError`` unless c ∈ (0, 1), 1 ≤ S ≤ T and, when a seed is given,
+    it is a node id in 0..n-1."""
+    if not 0 < c < 1:
+        raise ValueError("restart probability c must be in (0, 1)")
     if S < 1:
         raise ValueError("S must be >= 1 (the family part needs x^(0))")
     if T < S:
         raise ValueError("T must be >= S")
+    if seed is not None and not 0 <= seed < n:
+        raise ValueError(f"seed {seed} is not a node id in 0..{n - 1}")
+
+
+def neighbor_scale(c: float, S: int, T: int) -> float:
+    """α = ‖r_neighbor‖₁ / ‖r_family‖₁ = ((1-c)^S − (1-c)^T)/(1 − (1-c)^S)."""
+    check_args(c, S, T)
     d = 1.0 - c
     return (d**S - d**T) / (1.0 - d**S)
 
@@ -48,9 +59,7 @@ class LocalTPA:
         T: int = 10,
         eps: float = DEFAULT_EPS,
     ) -> None:
-        if not 0 < c < 1:
-            raise ValueError("restart probability c must be in (0, 1)")
-        neighbor_scale(c, S, T)  # validates S, T
+        self.family_scale = 1.0 + neighbor_scale(c, S, T)  # 1 + α; checks c, S, T
         self.graph = graph
         self.c = c
         self.S = S
@@ -69,6 +78,7 @@ class LocalTPA:
     # -- Algorithm 3 -------------------------------------------------------
     def family(self, seed: int) -> np.ndarray:
         """r_family: iterations 0..S-1 of CPI from the seed."""
+        check_args(self.c, self.S, self.T, self.graph.n, seed)
         q = seed_vector(self.graph.n, seed)
         return cpi(self.graph, q, c=self.c, eps=self.eps, s_iter=0, t_iter=self.S - 1)
 
@@ -76,13 +86,11 @@ class LocalTPA:
         """r_TPA = r_family + α·r_family + r̃_stranger."""
         if self.r_stranger is None:
             raise RuntimeError("call preprocess() before query()")
-        fam = self.family(seed)
-        return fam * (1.0 + neighbor_scale(self.c, self.S, self.T)) + self.r_stranger
+        return self.family(seed) * self.family_scale + self.r_stranger
 
     def query_na(self, seed: int, deadline=None) -> np.ndarray:
         """r_TPA-NA = r_family + α·r_family (stranger term omitted)."""
-        fam = self.family(seed)
-        return fam * (1.0 + neighbor_scale(self.c, self.S, self.T))
+        return self.family(seed) * self.family_scale
 
     # -- accounting ----------------------------------------------------------
     @property

@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.cpi import DEFAULT_PARTITIONS, cpi_spark
+from repro.core.cpi import cpi_spark
 from repro.core.local_cpi import DEFAULT_C, DEFAULT_EPS
-from repro.core.local_tpa import neighbor_scale
+from repro.core.local_tpa import check_args, neighbor_scale
 from repro.graph.edges import (
     normalize_edges,
     scale_vector,
@@ -45,16 +45,14 @@ class SparkTPA:
         S: int = 4,
         T: int = 10,
         eps: float = DEFAULT_EPS,
-        num_partitions: int = DEFAULT_PARTITIONS,
     ) -> None:
-        neighbor_scale(c, S, T)  # validates S, T
+        self.family_scale = 1.0 + neighbor_scale(c, S, T)  # 1 + α; checks c, S, T
         self.spark = spark
         self.n = n
         self.c = c
         self.S = S
         self.T = T
         self.eps = eps
-        self.num_partitions = num_partitions
         self.norm_edges = normalize_edges(edges)
         self.r_stranger: DataFrame | None = None
 
@@ -69,13 +67,13 @@ class SparkTPA:
             c=self.c,
             eps=self.eps,
             s_iter=self.T,
-            num_partitions=self.num_partitions,
         )
         return self.r_stranger
 
     # -- Algorithm 3 -------------------------------------------------------
     def family(self, seed: int) -> DataFrame:
         """r_family: S supersteps of CPI from the seed (iterations 0..S-1)."""
+        check_args(self.c, self.S, self.T, self.n, seed)
         q = seed_vector_df(self.spark, seed)
         return cpi_spark(
             self.spark,
@@ -85,21 +83,14 @@ class SparkTPA:
             eps=self.eps,
             s_iter=0,
             t_iter=self.S - 1,
-            num_partitions=self.num_partitions,
         )
 
     def query(self, seed: int, deadline=None) -> DataFrame:
         """r_TPA = (1+α)·r_family + r̃_stranger as a sparse vector DataFrame."""
         if self.r_stranger is None:
             raise RuntimeError("call preprocess() before query()")
-        fam = self.family(seed)
-        scaled = scale_vector(fam, 1.0 + neighbor_scale(self.c, self.S, self.T))
+        scaled = scale_vector(self.family(seed), self.family_scale)
         return sum_vectors([scaled, self.r_stranger]).localCheckpoint(eager=True)
-
-    def query_na(self, seed: int, deadline=None) -> DataFrame:
-        """r_TPA-NA = (1+α)·r_family (stranger term omitted)."""
-        fam = self.family(seed)
-        return scale_vector(fam, 1.0 + neighbor_scale(self.c, self.S, self.T))
 
     # -- conveniences --------------------------------------------------------
     def query_np(self, seed: int) -> np.ndarray:

@@ -35,9 +35,9 @@ def spark_scale_table(
     T: int = 10,
     eps: float = 1e-6,
     n_seeds: int = 3,
-    num_partitions: int = 8,
 ) -> pd.DataFrame:
-    """Run SparkTPA preprocess + online over growing graphs.
+    """Run SparkTPA preprocess + online over growing graphs, one row per
+    ``(n, m)`` size; the graph of each size is DCSBM with seed ``100 + n``.
 
     ``eps`` defaults to 1e-6 (not the paper's 1e-9) to keep the sweep's
     iteration count (~73 instead of ~116 at c=0.15) within the benchmark
@@ -46,11 +46,9 @@ def spark_scale_table(
     sizes = DEFAULT_SIZES if sizes is None else sizes
     iters = n_iterations_to_converge(c, eps)
     rows = []
-    for i, (n, m) in enumerate(sizes):
-        edges = dcsbm_edges(spark, n=n, m=m, seed=100 + i)
-        tpa = SparkTPA(
-            spark, edges, n, c=c, S=S, T=T, eps=eps, num_partitions=num_partitions
-        )
+    for n, m in sizes:
+        edges = dcsbm_edges(spark, n=n, m=m, seed=100 + n)
+        tpa = SparkTPA(spark, edges, n, c=c, S=S, T=T, eps=eps)
         t0 = time.perf_counter()
         tpa.preprocess()
         pre = time.perf_counter() - t0

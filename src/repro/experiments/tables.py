@@ -3,7 +3,7 @@
 Each returns a pandas DataFrame whose printed rows are the reproduction of
 the corresponding paper figure (figures themselves are out of scope; see
 DESIGN.md §5). The main-comparison tables (Fig. 1a/1b/1c, 3, 4) share one
-cached run per (datasets, sf, seeds, cap) so the jobs and benchmarks don't
+cached run per (datasets, sf, seeds, cap) so the CLI and benchmarks don't
 recompute each other's work.
 """
 from __future__ import annotations
@@ -38,7 +38,16 @@ __all__ = [
     "effect_of_S_table",
     "effect_of_T_table",
     "format_table",
+    "SWEEP_DATASETS",
+    "S_VALUES",
+    "T_VALUES",
 ]
+
+# The Fig. 7 and Fig. 8 sweeps. T=5 is where pokec-lite and livejournal-lite
+# reach their L1 minimum; None means T=∞ (no stranger term).
+SWEEP_DATASETS = ("livejournal-lite", "pokec-lite")
+S_VALUES = (1, 2, 3, 4, 5, 6, 7, 8)
+T_VALUES = (4, 5, 6, 8, 10, 15, 20, 30, None)
 
 _MAIN_CACHE: dict[tuple, list[MethodRow]] = {}
 
@@ -175,9 +184,9 @@ def neighbor_effect_table(
 
 
 def effect_of_S_table(
-    datasets: list[str] = ("livejournal-lite", "pokec-lite"),
+    datasets: list[str] = SWEEP_DATASETS,
     *,
-    S_values: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8),
+    S_values: tuple[int, ...] = S_VALUES,
     T: int = 10,
     sf: float = 1.0,
     n_seeds: int = 5,
@@ -209,9 +218,9 @@ def effect_of_S_table(
 
 
 def effect_of_T_table(
-    datasets: list[str] = ("livejournal-lite", "pokec-lite"),
+    datasets: list[str] = SWEEP_DATASETS,
     *,
-    T_values: tuple = (4, 6, 8, 10, 12, 15, 20, 30, None),
+    T_values: tuple = T_VALUES,
     S: int = 4,
     sf: float = 1.0,
     n_seeds: int = 5,
@@ -247,5 +256,5 @@ def effect_of_T_table(
 
 
 def format_table(df: pd.DataFrame, title: str) -> str:
-    """Markdown-ish rendering used by jobs and EXPERIMENTS.md."""
+    """Markdown-ish rendering used by EXPERIMENTS.md."""
     return f"### {title}\n\n{df.to_string(float_format=lambda v: f'{v:.6g}')}\n"

@@ -39,8 +39,8 @@ __all__ = [
 def shuffle_partitions(spark: SparkSession, n: int):
     """Temporarily set ``spark.sql.shuffle.partitions`` — iterative graph
     jobs on small-to-medium vectors drown in task overhead at the session
-    default (64); the algorithms below pick a parallelism matched to their
-    data size and restore the session value afterwards."""
+    default (64); CPI runs its supersteps at ``repro.core.cpi.PARTITIONS``
+    and restores the session value afterwards."""
     key = "spark.sql.shuffle.partitions"
     old = spark.conf.get(key)
     spark.conf.set(key, str(n))
@@ -86,19 +86,17 @@ def propagate(norm_edges: DataFrame, x: DataFrame, c: float) -> DataFrame:
     )
 
 
-def seed_vector_df(spark: SparkSession, seeds, scale: float = 1.0) -> DataFrame:
-    """Sparse seed vector: ``scale / |seeds|`` at each seed node."""
+def seed_vector_df(spark: SparkSession, seeds) -> DataFrame:
+    """Sparse seed vector: ``1 / |seeds|`` at each seed node."""
     seeds = [int(s) for s in np.atleast_1d(seeds)]
-    val = float(scale) / len(seeds)
+    val = 1.0 / len(seeds)
     pdf = pd.DataFrame({"id": np.asarray(seeds, np.int64), "score": val})
     return spark.createDataFrame(pdf)
 
 
-def uniform_vector_df(spark: SparkSession, n: int, scale: float = 1.0) -> DataFrame:
-    """Dense uniform vector ``scale/n`` at every node 0..n-1 (PageRank seed)."""
-    return spark.range(n).select(
-        F.col("id").cast("long"), F.lit(float(scale) / n).alias("score")
-    )
+def uniform_vector_df(spark: SparkSession, n: int) -> DataFrame:
+    """Dense uniform vector ``1/n`` at every node 0..n-1 (PageRank seed)."""
+    return spark.range(n).select(F.col("id").cast("long"), F.lit(1.0 / n).alias("score"))
 
 
 def sum_vectors(vectors: list[DataFrame]) -> DataFrame:

@@ -10,6 +10,7 @@ from repro.core.local_cpi import (
     cpi,
     exact_rwr,
     interim_vectors,
+    iterates,
     n_iterations_to_converge,
     pagerank,
     seed_vector,
@@ -129,6 +130,17 @@ class TestWindows:
     def test_negative_s_iter_raises(self, g):
         with pytest.raises(ValueError):
             cpi(g, seed_vector(g.n, 0), s_iter=-1)
+
+    def test_iterates_is_substrate_free(self):
+        """The loop only needs a step and a norm: halving a float from 1.0
+        yields the window from i=1 until the norm drops below eps; an empty
+        window yields nothing."""
+        def half(x):
+            return x / 2
+
+        assert list(iterates(1.0, half, abs, eps=0.1, s_iter=1)) == [0.5, 0.25, 0.125, 0.0625]
+        assert list(iterates(1.0, half, abs, eps=0.0, t_iter=2)) == [1.0, 0.5, 0.25]
+        assert list(iterates(1.0, half, abs, eps=0.0, s_iter=3, t_iter=2)) == []
 
     def test_max_iter_truncates(self, g):
         q = seed_vector(g.n, 0)

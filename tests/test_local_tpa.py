@@ -58,6 +58,12 @@ class TestNeighborScale:
         with pytest.raises(ValueError):
             LocalTPA(g, c=1.5)
 
+    def test_unknown_seed_rejected(self, g, tpa):
+        """A seed outside 0..n-1 raises instead of wrapping around to node n-1."""
+        for seed in (-1, g.n):
+            with pytest.raises(ValueError, match="not a node id"):
+                tpa.query(seed)
+
 
 class TestAlgorithm2:
     def test_stranger_is_pagerank_tail(self, g, tpa):

@@ -145,3 +145,49 @@ class TestVectorOpsOracle:
     def test_sum_vectors_empty_list_raises(self):
         with pytest.raises(ValueError):
             sum_vectors([])
+
+
+class TestOracleWiring:
+    """The DuckDB oracle itself: Spark tables round-trip through it, and a
+    wrong result is caught."""
+
+    def test_oracle_checked_aggregate(self, tiny):
+        _, _, _, edges = tiny
+        out = edges.groupBy("dst").agg(
+            F.count("*").alias("cnt"), F.sum("src").alias("src_sum")
+        )
+        assert_equivalent(
+            out,
+            "SELECT dst, COUNT(*) AS cnt, SUM(src) AS src_sum FROM edges GROUP BY dst",
+            edges=edges,
+        )
+
+    def test_oracle_join(self, spark, tiny):
+        n, _, _, edges = tiny
+        rng = np.random.default_rng(2)
+        x = spark.createDataFrame(pd.DataFrame({"id": np.arange(n), "score": rng.random(n)}))
+        out = (
+            edges.join(x, edges["src"] == x["id"])
+            .groupBy("dst")
+            .agg(F.count("*").alias("cnt"), F.sum("score").alias("score"))
+        )
+        assert_equivalent(
+            out,
+            """
+            SELECT dst, COUNT(*) AS cnt, SUM(score) AS score
+            FROM edges JOIN x ON src = id
+            GROUP BY dst
+            """,
+            edges=edges,
+            x=x,
+        )
+
+    def test_oracle_detects_wrong_result(self, tiny):
+        _, _, _, edges = tiny
+        wrong = edges.groupBy("dst").agg((F.count("*") + 1).alias("cnt"))
+        with pytest.raises(AssertionError):
+            assert_equivalent(
+                wrong,
+                "SELECT dst, COUNT(*) AS cnt FROM edges GROUP BY dst",
+                edges=edges,
+            )

@@ -45,10 +45,6 @@ class TestSparkTPA:
         for s in (0, 77):
             assert np.abs(spark_tpa.query_np(s) - local_tpa.query(s)).sum() < 1e-10
 
-    def test_query_na_matches_local(self, g, spark_tpa, local_tpa):
-        got = vector_to_numpy(spark_tpa.query_na(33), g.n)
-        assert np.abs(got - local_tpa.query_na(33)).sum() < 1e-10
-
     def test_theorem2_bound(self, g, spark_tpa):
         """‖r_exact − r_TPA‖₁ ≤ 2(1-c)^S holds for the distributed result."""
         r = spark_tpa.query_np(42)
@@ -71,3 +67,14 @@ class TestSparkTPA:
     def test_invalid_window_rejected(self, spark, g):
         with pytest.raises(ValueError):
             SparkTPA(spark, edges_from_numpy(spark, g.src, g.dst), g.n, S=5, T=4)
+
+    def test_invalid_c_rejected(self, spark, g):
+        with pytest.raises(ValueError):
+            SparkTPA(spark, edges_from_numpy(spark, g.src, g.dst), g.n, c=1.5)
+
+    def test_unknown_seed_rejected(self, g, spark_tpa):
+        """A seed outside 0..n-1 raises instead of returning a score row for
+        a node that does not exist."""
+        for seed in (-1, g.n):
+            with pytest.raises(ValueError, match="not a node id"):
+                spark_tpa.query(seed)

@@ -1,74 +1,5 @@
-"""Tests for the provided TPC-H-lite generators and the new Spark graph
-wrappers, including one oracle-checked OLAP query to prove the DuckDB
-checker wiring works end-to-end."""
-import numpy as np
-import pytest
-from pyspark.sql import functions as F
-
+"""Tests for the Spark graph wrappers in ``repro.synth_data``."""
 from repro import synth_data
-from repro.oracle import assert_equivalent
-
-SF = 0.002
-
-
-class TestTpchLite:
-    def test_lineitem_deterministic(self, spark):
-        a = synth_data.lineitem(spark, sf=SF).toPandas()
-        b = synth_data.lineitem(spark, sf=SF).toPandas()
-        assert a.equals(b)
-
-    def test_orders_keys_dense(self, spark):
-        o = synth_data.orders(spark, sf=SF).toPandas()
-        assert o["o_orderkey"].tolist() == list(range(1, len(o) + 1))
-
-    def test_oracle_checked_aggregate(self, spark):
-        """The provided DuckDB oracle catches wrong results — verify a real
-        group-by aggregation round-trips through it."""
-        li = synth_data.lineitem(spark, sf=SF)
-        out = (
-            li.groupBy("l_returnflag")
-            .agg(
-                F.count("*").alias("cnt"),
-                F.sum("l_quantity").alias("qty"),
-            )
-        )
-        assert_equivalent(
-            out,
-            """
-            SELECT l_returnflag, COUNT(*) AS cnt, SUM(l_quantity) AS qty
-            FROM lineitem GROUP BY l_returnflag
-            """,
-            lineitem=li,
-        )
-
-    def test_oracle_join(self, spark):
-        li = synth_data.lineitem(spark, sf=SF)
-        o = synth_data.orders(spark, sf=SF)
-        out = (
-            li.join(o, li["l_orderkey"] == o["o_orderkey"])
-            .groupBy("o_orderpriority")
-            .agg(F.count("*").alias("cnt"))
-        )
-        assert_equivalent(
-            out,
-            """
-            SELECT o_orderpriority, COUNT(*) AS cnt
-            FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-            GROUP BY o_orderpriority
-            """,
-            lineitem=li,
-            orders=o,
-        )
-
-    def test_oracle_detects_wrong_result(self, spark):
-        li = synth_data.lineitem(spark, sf=SF)
-        wrong = li.groupBy("l_returnflag").agg((F.count("*") + 1).alias("cnt"))
-        with pytest.raises(AssertionError):
-            assert_equivalent(
-                wrong,
-                "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-                lineitem=li,
-            )
 
 
 class TestGraphWrappers:
@@ -89,8 +20,3 @@ class TestGraphWrappers:
         pdf = df.toPandas()
         assert abs(len(pdf) - 600) <= 160
         assert (pdf["src"] != pdf["dst"]).all()
-
-    def test_zipf_keys_skewed(self, spark):
-        df = synth_data.zipf_keys(spark, n=5000, n_keys=100)
-        counts = df.groupBy("k").count().toPandas()["count"]
-        assert counts.max() > 5 * counts.mean()
