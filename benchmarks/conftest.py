@@ -1,17 +1,10 @@
-"""Benchmark-suite plumbing.
-
-- makes ``bench_utils`` importable;
-- knobs: ``BENCH_SF`` (dataset scale, default 1.0), ``BENCH_CAP`` (per-phase
-  deadline seconds), ``BENCH_SEEDS`` (query seeds; paper used 30, default 3);
-- a terminal-summary hook that prints every benchmark's ``extra_info`` as
-  per-table DataFrames — this is what lands in ``bench_output.txt`` and what
-  EXPERIMENTS.md quotes as the measured numbers.
+"""Benchmark-suite plumbing: a terminal-summary hook that prints every
+benchmark's table rows (``extra_info["rows"]``) as one DataFrame per table
+(``extra_info["table"]``) — this is what lands in ``bench_output.txt`` and
+what EXPERIMENTS.md quotes as the measured numbers. ``bench_mean_s`` is the
+benchmark's own wall-clock for the test that produced the row.
 """
-import os
-import sys
 from collections import defaultdict
-
-sys.path.insert(0, os.path.dirname(__file__))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -22,14 +15,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
     groups = defaultdict(list)
     for bm in bs.benchmarks:
-        row = dict(bm.extra_info)
-        row["bench_mean_s"] = bm.stats.mean
-        groups[bm.fullname.split("::")[0]].append(row)
+        for row in bm.extra_info["rows"]:
+            groups[bm.extra_info["table"]].append({**row, "bench_mean_s": bm.stats.mean})
     tr = terminalreporter
     tr.write_sep("=", "reproduction tables (benchmark extra_info)")
     with pd.option_context("display.width", 220, "display.max_columns", 50):
-        for fname in sorted(groups):
+        for table, rows in groups.items():
             tr.write_line("")
-            tr.write_sep("-", fname)
-            df = pd.DataFrame(groups[fname])
-            tr.write_line(df.to_string(float_format=lambda v: f"{v:.6g}"))
+            tr.write_sep("-", table)
+            tr.write_line(pd.DataFrame(rows).to_string(float_format=lambda v: f"{v:.6g}"))

@@ -15,7 +15,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.local_cpi import n_iterations_to_converge
+from repro.core.local_cpi import DEFAULT_C, n_iterations_to_converge
 from repro.core.tpa import SparkTPA
 from repro.graph.edges import vector_to_numpy
 from repro.synth_data import dcsbm_edges
@@ -30,7 +30,7 @@ def spark_scale_table(
     spark: SparkSession,
     *,
     sizes: list[tuple[int, int]] | None = None,
-    c: float = 0.15,
+    c: float = DEFAULT_C,
     S: int = 4,
     T: int = 10,
     eps: float = 1e-6,

@@ -10,11 +10,13 @@ from repro.core.local_tpa import LocalTPA
 from repro.experiments.datasets import load_local
 from repro.experiments.runner import (
     EXPECTED_OOT,
+    HUBPPR_ONLINE_OOT,
     METHOD_ORDER,
     build_method,
     exact_vectors,
     pick_seeds,
     run_dataset,
+    seeds_and_exact,
 )
 
 SF = 0.015
@@ -72,14 +74,22 @@ class TestSeedsAndExact:
         for v in ex.values():
             assert v.sum() == pytest.approx(1.0, abs=1e-6)
 
+    def test_seeds_and_exact_cached(self, ds):
+        """One exact-vector set per (dataset, sf, n_seeds), shared by every
+        table that scores against it."""
+        g, _ = ds
+        first = seeds_and_exact("slashdot-lite", SF, 2)
+        assert seeds_and_exact("slashdot-lite", SF, 2) is first
+        seeds, exact = first
+        assert seeds == pick_seeds(g, 2).tolist()
+        fresh = exact_vectors(g, pick_seeds(g, 2))
+        assert all(np.array_equal(exact[s], fresh[s]) for s in seeds)
+
 
 class TestRunDataset:
     @pytest.fixture(scope="class")
-    def rows(self, ds):
-        g, spec = ds
-        return run_dataset(
-            "slashdot-lite", g, spec, n_seeds=2, time_cap=30.0, skip_expected_oot=False
-        )
+    def rows(self):
+        return run_dataset("slashdot-lite", sf=SF, n_seeds=2, time_cap=30.0)
 
     def test_all_methods_present(self, rows):
         methods = {r.method for r in rows}
@@ -108,10 +118,9 @@ class TestRunDataset:
         by = {r.method: r for r in rows}
         assert by["TPA-NA"].spearman < by["TPA"].spearman
 
-    def test_expected_oot_skipped(self, ds):
-        g, spec = ds
+    def test_expected_oot_skipped(self):
         rows = run_dataset(
-            "friendster-lite", g, spec, methods=["NB-LIN"], n_seeds=1, time_cap=30.0
+            "friendster-lite", sf=SF, methods=["NB-LIN"], n_seeds=1, time_cap=30.0
         )
         assert rows[0].status == "OOT"
         assert rows[0].pre_time is None
@@ -121,15 +130,22 @@ class TestRunDataset:
         assert "google-lite" in EXPECTED_OOT["BEAR-APPROX"]
         assert "slashdot-lite" not in EXPECTED_OOT["BEAR-APPROX"]
 
-    def test_tiny_time_cap_marks_oot(self, ds):
-        g, spec = ds
+    def test_hubppr_online_omitted_from_google_on(self, monkeypatch):
+        """Paper Fig. 1b: HubPPR preprocesses everywhere, but its online
+        phase is only reported on Slashdot; elsewhere no query runs."""
+        assert "slashdot-lite" not in HUBPPR_ONLINE_OOT
+        queries = []
+        monkeypatch.setattr(HubPPR, "query", lambda self, *a, **kw: queries.append(a))
         rows = run_dataset(
-            "slashdot-lite",
-            g,
-            spec,
-            methods=["HubPPR"],
-            n_seeds=1,
-            time_cap=1e-9,
-            skip_expected_oot=False,
+            "google-lite", sf=SF, methods=["HubPPR"], n_seeds=2, time_cap=30.0
+        )
+        assert rows[0].status == "OOT-online"
+        assert rows[0].pre_time is not None and rows[0].bytes > 0
+        assert rows[0].online_time is None and rows[0].l1 is None
+        assert queries == []
+
+    def test_tiny_time_cap_marks_oot(self):
+        rows = run_dataset(
+            "slashdot-lite", sf=SF, methods=["HubPPR"], n_seeds=1, time_cap=1e-9
         )
         assert rows[0].status in ("OOT", "OOT-online")

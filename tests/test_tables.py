@@ -5,6 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.local_tpa import LocalTPA
 from repro.experiments import tables
 
 SF = 0.015
@@ -66,9 +67,17 @@ class TestMainTables:
     def test_tpa_smallest_memory_among_preprocessors(self):
         df = tables.memory_table(**KW)
         for col in ("NB-LIN", "BEAR-APPROX", "HubPPR"):
-            vals = df[col].dropna()
+            vals = pd.to_numeric(df[col], errors="coerce").dropna()
             for ds in vals.index:
                 assert df.loc[ds, "TPA"] < vals[ds]
+
+    def test_oot_cells_read_status(self):
+        """A phase that did not run shows why: NB-LIN never preprocesses on
+        pokec-lite, HubPPR skips its online phase there (paper Figs. 1, 3)."""
+        assert tables.memory_table(**KW).loc["pokec-lite", "NB-LIN"] == "OOT"
+        online = tables.online_table(**KW)
+        assert online.loc["pokec-lite", "HubPPR"] == "OOT-online"
+        assert online.loc["slashdot-lite", "HubPPR"] > 0
 
     def test_cache_reuse(self):
         a = tables.main_rows(**KW)
@@ -102,6 +111,23 @@ class TestAblationTables:
         sub = df[df.dataset == "pokec-lite"].sort_values("S")
         # Fig. 7: L1 error strictly decreases as S grows
         assert sub["L1"].is_monotonic_decreasing
+
+    def test_effect_of_S_preprocesses_once_per_T(self, monkeypatch):
+        """The stranger vector depends on T only: S values that share the
+        effective T (= max(T, S)) share one preprocessing."""
+        calls = []
+        preprocess = LocalTPA.preprocess
+
+        def counting(self, deadline=None):
+            calls.append(self.T)
+            return preprocess(self, deadline)
+
+        monkeypatch.setattr(LocalTPA, "preprocess", counting)
+        df = tables.effect_of_S_table(
+            ["pokec-lite", "slashdot-lite"], S_values=(1, 3, 12, 5, 14), T=10, sf=SF, n_seeds=1
+        )
+        assert len(df) == 10
+        assert calls == [10, 12, 14, 10, 12, 14]
 
     def test_effect_of_T_finite_beats_infinite(self):
         df = tables.effect_of_T_table(
