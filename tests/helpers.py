@@ -3,6 +3,7 @@ with known closed-form RWR answers, plus a dense reference solver."""
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from repro.graph import generators as gen
 from repro.graph.linalg import LocalGraph
@@ -22,6 +23,20 @@ def small_dcsbm(n: int = 300, m: int = 2400, seed: int = 1) -> LocalGraph:
 
 def small_er(n: int = 300, m: int = 2400, seed: int = 1) -> LocalGraph:
     return graph_from(gen.erdos_renyi(n, m, seed=seed))
+
+
+@st.composite
+def messy_graphs(draw, max_n: int = 12) -> LocalGraph:
+    """Small graphs shaped like real edge lists, built without a generator:
+    duplicate edges and self-loops in shuffled order, nodes with no out-edge,
+    a sink ``n-2`` (in-edges only) and an isolated node ``n-1``."""
+    n = draw(st.integers(3, max_n))
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, n - 3), st.integers(0, n - 2)), max_size=6 * n)
+    )
+    edges += [(0, 0), (0, n - 2), (0, n - 2)]  # a self-loop; a duplicate edge into the sink
+    src, dst = np.array(draw(st.permutations(edges))).T
+    return LocalGraph(n, src, dst)
 
 
 def dense_exact_rwr(g: LocalGraph, seed: int, c: float = C) -> np.ndarray:

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import generators as gen
-from repro.graph.linalg import LocalGraph
+from repro.graph.linalg import FRONTIER_CUTOVER, LocalGraph
 
-from helpers import graph_from, small_dcsbm
+from helpers import graph_from, messy_graphs, small_dcsbm
 
 
 @pytest.fixture(scope="module")
@@ -63,13 +63,6 @@ class TestSpMV:
         x = np.ones(4)
         assert gg.push(x).sum() == pytest.approx(3.0)
 
-    def test_push_from_masks_sources(self, g):
-        x = np.random.default_rng(3).random(g.n)
-        active = np.zeros(g.n, dtype=bool)
-        active[: g.n // 2] = True
-        masked = x * active
-        assert np.allclose(g.push_from(x, active), g.push(masked))
-
     def test_push_linear(self, g):
         rng = np.random.default_rng(4)
         x, y = rng.random(g.n), rng.random(g.n)
@@ -87,6 +80,63 @@ class TestSpMV:
         gg = graph_from(spec)
         x = np.random.default_rng(seed).random(n)
         assert np.allclose(gg.push(x), gg.dense_transition_T() @ x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gg=messy_graphs(max_n=40), data=st.data())
+    def test_property_push_bitwise_equals_dense_kernel(self, gg, data):
+        """Whichever edges ``push`` reads, its bits equal the all-edge kernel's,
+        for supports of 0, 1, 3 and all nodes and just below and above the
+        frontier cut-over, with negative values and −0.0 entries."""
+        order = np.array(data.draw(st.permutations(range(gg.n))))
+        vals = data.draw(
+            st.lists(
+                st.floats(-1e3, 1e3, allow_nan=False).filter(bool), min_size=gg.n, max_size=gg.n
+            )
+        )
+        out_edges = np.concatenate([[0], np.cumsum(gg.out_deg[order])])  # of each prefix
+        below = int(np.searchsorted(FRONTIER_CUTOVER * out_edges, gg.m)) - 1
+        frontier_runs = False
+        for size in sorted({0, 1, 3, below, below + 1, gg.n} & set(range(gg.n + 1))):
+            x = np.zeros(gg.n)
+            x[order[:size]] = vals[:size]
+            if size < gg.n:
+                x[order[size]] = -0.0
+            got = gg.push(x)
+            want = np.bincount(gg.dst, weights=x[gg.src] * gg.edge_w, minlength=gg.n)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            frontier_runs |= 0 < FRONTIER_CUTOVER * out_edges[size] < gg.m
+        # The frontier branch ran iff some support was under the cut-over.
+        assert (gg._out_index is not None) == frontier_runs
+
+    def test_frontier_push_sums_in_edge_list_order(self):
+        """Node 9 receives 1, 1e16 and −1e16 in that edge order, which sums to 0
+        in floating point; summed by source (−1e16, 1e16, 1) it would be 1."""
+        filler = np.arange(10, 50)
+        gg = LocalGraph(50, np.r_[2, 1, 0, filler], np.r_[9, 9, 9, np.roll(filler, 1)])
+        x = np.zeros(50)
+        x[:3] = [-1e16, 1e16, 1.0]
+        assert gg.push(x)[9] == 0.0 and gg._out_index is not None
+
+    def test_out_index_lazy_and_shared_with_out_csr(self, monkeypatch):
+        """Construction and a dense push build no out-edge index; a one-hot
+        push builds it with one argsort, and ``out_csr`` reads through it."""
+        argsorts = []
+        real_argsort = np.argsort
+
+        def counting_argsort(*args, **kwargs):
+            argsorts.append(args)
+            return real_argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        gg = small_dcsbm()
+        assert gg._out_index is None
+        gg.push(np.ones(gg.n))
+        assert gg._out_index is None and not argsorts
+        gg.push(np.eye(1, gg.n, 5).ravel())
+        indptr, order = gg._out_index
+        csr_indptr, nbrs = gg.out_csr
+        assert csr_indptr is indptr and np.array_equal(nbrs, gg.dst[order])
+        assert len(argsorts) == 1
 
 
 class TestAdjacency:

@@ -18,7 +18,14 @@ from repro.core.local_cpi import (
 )
 from repro.graph import generators as gen
 
-from helpers import C, dense_exact_pagerank, dense_exact_rwr, graph_from, small_dcsbm
+from helpers import (
+    C,
+    dense_exact_pagerank,
+    dense_exact_rwr,
+    graph_from,
+    messy_graphs,
+    small_dcsbm,
+)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +73,13 @@ class TestTheorem1:
         gg = graph_from(gen.erdos_renyi(40, 160, seed=seed))
         r = exact_rwr(gg, 0)
         assert np.abs(r - dense_exact_rwr(gg, 0)).sum() < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(gg=messy_graphs(), data=st.data())
+    def test_property_messy_graphs(self, gg, data):
+        """Dangling nodes, duplicate edges, self-loops; sink and isolated seeds."""
+        for s in (data.draw(st.integers(0, gg.n - 1)), gg.n - 2, gg.n - 1):
+            assert np.abs(exact_rwr(gg, s) - dense_exact_rwr(gg, s)).sum() < 1e-9
 
 
 class TestInterimNorms:

@@ -2,12 +2,14 @@
 decomposition algebra, and the ablations' qualitative behaviour."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.local_cpi import cpi, exact_rwr, pagerank, seed_vector
 from repro.core.local_tpa import LocalTPA, neighbor_scale
 from repro.metrics import l1_error, spearman
 
-from helpers import C, small_dcsbm, small_er
+from helpers import C, dense_exact_rwr, messy_graphs, small_dcsbm, small_er
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +122,16 @@ class TestBounds:
             t.preprocess()
             for s, ex in exact.items():
                 assert l1_error(t.query(s), ex) <= 2 * (1 - C) ** S + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(gg=messy_graphs(), data=st.data(), S=st.integers(1, 5), extra=st.integers(0, 6))
+    def test_theorem2_on_messy_graphs(self, gg, data, S, extra):
+        """Theorem 2 holds with dangling nodes, duplicate edges and self-loops,
+        from sink and isolated seeds too, where the frontier empties mid-query."""
+        t = LocalTPA(gg, S=S, T=S + extra)
+        t.preprocess()
+        for s in (data.draw(st.integers(0, gg.n - 1)), gg.n - 2, gg.n - 1):
+            assert l1_error(t.query(s), dense_exact_rwr(gg, s)) <= 2 * (1 - C) ** S + 1e-9
 
     def test_lemma2_stranger_bound(self, g):
         """‖r_stranger − p_stranger‖₁ ≤ 2(1-c)^T."""
