@@ -14,10 +14,12 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.cpi import cpi_spark
 from repro.core.local_cpi import DEFAULT_C, DEFAULT_EPS
 from repro.core.local_tpa import check_args, neighbor_scale
+from repro.deadline import Deadline
 from repro.graph.edges import (
     normalize_edges,
     scale_vector,
     seed_vector_df,
+    shuffle_partitions,
     sum_vectors,
     uniform_vector_df,
     vector_to_numpy,
@@ -57,8 +59,9 @@ class SparkTPA:
         self.r_stranger: DataFrame | None = None
 
     # -- Algorithm 2 -------------------------------------------------------
-    def preprocess(self, deadline=None) -> DataFrame:
-        """Stranger vector: iterations T..∞ of CPI with the PageRank seed."""
+    def preprocess(self, deadline: Deadline | None = None) -> DataFrame:
+        """Stranger vector: iterations T..∞ of CPI with the PageRank seed.
+        ``deadline`` is checked before each superstep."""
         q = uniform_vector_df(self.spark, self.n)
         self.r_stranger = cpi_spark(
             self.spark,
@@ -67,11 +70,12 @@ class SparkTPA:
             c=self.c,
             eps=self.eps,
             s_iter=self.T,
+            deadline=deadline,
         )
         return self.r_stranger
 
     # -- Algorithm 3 -------------------------------------------------------
-    def family(self, seed: int) -> DataFrame:
+    def family(self, seed: int, deadline: Deadline | None = None) -> DataFrame:
         """r_family: S supersteps of CPI from the seed (iterations 0..S-1)."""
         check_args(self.c, self.S, self.T, self.n, seed)
         q = seed_vector_df(self.spark, seed)
@@ -83,14 +87,17 @@ class SparkTPA:
             eps=self.eps,
             s_iter=0,
             t_iter=self.S - 1,
+            deadline=deadline,
         )
 
-    def query(self, seed: int, deadline=None) -> DataFrame:
-        """r_TPA = (1+α)·r_family + r̃_stranger as a sparse vector DataFrame."""
+    def query(self, seed: int, deadline: Deadline | None = None) -> DataFrame:
+        """r_TPA = (1+α)·r_family + r̃_stranger as a sparse vector DataFrame.
+        ``deadline`` is checked before each family superstep."""
         if self.r_stranger is None:
             raise RuntimeError("call preprocess() before query()")
-        scaled = scale_vector(self.family(seed), self.family_scale)
-        return sum_vectors([scaled, self.r_stranger]).localCheckpoint(eager=True)
+        scaled = scale_vector(self.family(seed, deadline), self.family_scale)
+        with shuffle_partitions(self.spark):
+            return sum_vectors([scaled, self.r_stranger]).localCheckpoint(eager=True)
 
     # -- conveniences --------------------------------------------------------
     def query_np(self, seed: int) -> np.ndarray:

@@ -4,8 +4,17 @@ A graph is an edge DataFrame ``(src: long, dst: long)``; a score vector is a
 *sparse* DataFrame ``(id: long, score: double)`` holding only non-zero
 entries. One CPI step is one Pregel/GraphX-style superstep expressed in
 Catalyst: ``edges ⋈ scores on src → groupBy(dst).sum((1-c)·w·score)`` — a
-shuffle join plus a shuffle aggregation (broadcast joins are disabled by the
-session fixture, so the shuffle path is what runs).
+sort-merge join plus a shuffle aggregation (broadcast joins are disabled by
+the session fixture, so the shuffle path is what runs).
+
+The substrate has one partitioning: ``PARTITIONS`` hash partitions. Ã is
+cached hash-partitioned by ``src`` into them, and every superstep's
+aggregation leaves its vector hash-partitioned by ``id`` into them, so the
+join of the next superstep reads both sides in place and the ``groupBy(dst)``
+is a superstep's only shuffle. ``shuffle_partitions`` holds the session at
+that count, with adaptive query execution off: AQE would coalesce the small
+aggregate into fewer partitions, and the next join would have to shuffle the
+vector again.
 
 Every operation here is mirrored by a DuckDB SQL statement in the oracle
 tests (tests/test_oracle_graph.py): a wrong join or aggregation is caught by
@@ -32,22 +41,33 @@ __all__ = [
     "l1_norm",
     "vector_to_numpy",
     "shuffle_partitions",
+    "PARTITIONS",
 ]
+
+# Hash partitions of the cached edges and of every superstep's shuffle. The
+# session default (64) drowns the small-to-medium vectors of iterative
+# supersteps in task overhead; a constant (not the host's parallelism) keeps
+# plans and summation order the same on every host.
+PARTITIONS = 8
 
 
 @contextmanager
-def shuffle_partitions(spark: SparkSession, n: int):
-    """Temporarily set ``spark.sql.shuffle.partitions`` — iterative graph
-    jobs on small-to-medium vectors drown in task overhead at the session
-    default (64); CPI runs its supersteps at ``repro.core.cpi.PARTITIONS``
-    and restores the session value afterwards."""
-    key = "spark.sql.shuffle.partitions"
-    old = spark.conf.get(key)
-    spark.conf.set(key, str(n))
+def shuffle_partitions(spark: SparkSession):
+    """Run the enclosed Spark work at ``PARTITIONS`` shuffle partitions with
+    adaptive query execution off (the module docstring says why), and
+    restore the session's values afterwards, also when the work raises."""
+    settings = {
+        "spark.sql.shuffle.partitions": str(PARTITIONS),
+        "spark.sql.adaptive.enabled": "false",
+    }
+    old = {key: spark.conf.get(key) for key in settings}
+    for key, value in settings.items():
+        spark.conf.set(key, value)
     try:
         yield
     finally:
-        spark.conf.set(key, old)
+        for key, value in old.items():
+            spark.conf.set(key, value)
 
 
 def edges_from_numpy(spark: SparkSession, src: np.ndarray, dst: np.ndarray) -> DataFrame:
@@ -65,15 +85,18 @@ def normalize_edges(edges: DataFrame) -> DataFrame:
     """Row-normalised edges ``(src, dst, w)`` with ``w = 1/out_deg(src)``.
 
     This is Ã in edge form; dangling nodes simply contribute no rows. The
-    result is persisted and materialised — it is reused every iteration.
+    result is persisted and materialised — it is reused every iteration —
+    hash-partitioned by ``src`` into ``PARTITIONS`` partitions, the
+    partitioning every superstep's join expects.
     """
-    deg = out_degrees(edges)
-    norm = (
-        edges.join(deg, edges["src"] == deg["id"], "inner")
-        .select("src", "dst", (F.lit(1.0) / F.col("out_deg")).alias("w"))
-        .persist()
-    )
-    norm.count()  # materialise so iteration timing excludes normalisation
+    with shuffle_partitions(edges.sparkSession):
+        deg = out_degrees(edges)
+        norm = (
+            edges.join(deg, edges["src"] == deg["id"], "inner")
+            .select("src", "dst", (F.lit(1.0) / F.col("out_deg")).alias("w"))
+            .persist()
+        )
+        norm.count()  # materialise so iteration timing excludes normalisation
     return norm
 
 

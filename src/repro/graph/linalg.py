@@ -84,11 +84,13 @@ class LocalGraph:
         too, as ``np.bincount`` of no edges would return integers). Either way
         each node sums its in-coming scores in edge-list order, so both give
         the same bits: an edge left out adds ±0.0 to a sum that starts at +0.0
-        and so is never −0.0.
+        and so is never −0.0. The result is float64 on a graph with no edges
+        too, where ``np.bincount`` returns integers.
         """
         support = np.flatnonzero(x != 0)
         if not 0 < FRONTIER_CUTOVER * self.out_deg[support].sum() < self.m:
-            return np.bincount(self.dst, weights=x[self.src] * self.edge_w, minlength=self.n)
+            y = np.bincount(self.dst, weights=x[self.src] * self.edge_w, minlength=self.n)
+            return y.astype(np.float64, copy=False)
         indptr, order = self._out_edge_ids()
         starts = indptr[support]
         lens = indptr[support + 1] - starts
@@ -99,8 +101,9 @@ class LocalGraph:
 
     def pull(self, x: np.ndarray) -> np.ndarray:
         """``Ã x``: y[u] = Σ_{u→v} x[v]/out_deg(u) — the adjoint direction,
-        used by backward push (HubPPR) and tests."""
-        return np.bincount(self.src, weights=x[self.dst] * self.edge_w, minlength=self.n)
+        used by backward push (HubPPR) and tests; float64 like ``push``."""
+        y = np.bincount(self.src, weights=x[self.dst] * self.edge_w, minlength=self.n)
+        return y.astype(np.float64, copy=False)
 
     def dense_transition_T(self) -> np.ndarray:
         """Dense ``Ãᵀ`` (n×n) — tests only; O(n²) memory."""

@@ -63,6 +63,15 @@ class TestSpMV:
         x = np.ones(4)
         assert gg.push(x).sum() == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("x", [np.zeros(3), np.ones(3)])
+    def test_push_and_pull_without_edges_are_float_zeros(self, x):
+        """With no edges every node is dangling: all mass leaks, and the
+        zero result is float64 like any other (``np.bincount`` of no edges
+        returns integers)."""
+        gg = LocalGraph(3, [], [])
+        for y in (gg.push(x), gg.pull(x)):
+            assert y.dtype == np.float64 and np.array_equal(y, np.zeros(3))
+
     def test_push_linear(self, g):
         rng = np.random.default_rng(4)
         x, y = rng.random(g.n), rng.random(g.n)

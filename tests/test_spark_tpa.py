@@ -3,9 +3,11 @@ its accuracy bound against exact RWR."""
 import numpy as np
 import pytest
 
+from repro.core import cpi as spark_cpi
 from repro.core.local_cpi import exact_rwr
 from repro.core.local_tpa import LocalTPA
 from repro.core.tpa import SparkTPA
+from repro.deadline import Deadline, OutOfTime
 from repro.graph import generators as gen
 from repro.graph.edges import edges_from_numpy, vector_to_numpy
 from repro.graph.linalg import LocalGraph
@@ -78,3 +80,33 @@ class TestSparkTPA:
         for seed in (-1, g.n):
             with pytest.raises(ValueError, match="not a node id"):
                 spark_tpa.query(seed)
+
+    def test_expired_deadline_stops_before_second_superstep(self, spark, g, monkeypatch):
+        """``Deadline`` is checked once per superstep, in both phases."""
+        supersteps = []
+        real_propagate = spark_cpi.propagate
+
+        def counting_propagate(*args):
+            supersteps.append(args)
+            return real_propagate(*args)
+
+        monkeypatch.setattr(spark_cpi, "propagate", counting_propagate)
+        t = SparkTPA(spark, edges_from_numpy(spark, g.src, g.dst), g.n, S=S, T=T, eps=EPS)
+        with pytest.raises(OutOfTime):
+            t.preprocess(Deadline(0.0))
+        assert len(supersteps) < 2 and t.r_stranger is None
+        t.r_stranger = t.family(0)  # any vector: the query must stop in its family part
+        supersteps.clear()
+        with pytest.raises(OutOfTime):
+            t.query(0, Deadline(0.0))
+        assert len(supersteps) < 2
+
+    def test_unbounded_deadline_changes_nothing(self, spark, g, spark_tpa):
+        t = SparkTPA(spark, edges_from_numpy(spark, g.src, g.dst), g.n, S=S, T=T, eps=EPS)
+        t.preprocess(Deadline(None))
+        assert np.array_equal(
+            vector_to_numpy(t.r_stranger, g.n), vector_to_numpy(spark_tpa.r_stranger, g.n)
+        )
+        assert np.array_equal(
+            vector_to_numpy(spark_tpa.query(77, Deadline(None)), g.n), spark_tpa.query_np(77)
+        )
